@@ -206,37 +206,6 @@ def execute_unit_to_wire(unit: CampaignUnit) -> dict:
     return campaign_to_wire(result)
 
 
-def execute_unit_to_shm_wire(unit: CampaignUnit) -> dict:
-    """Worker entry for pooled rounds: large wire results ride shared memory.
-
-    Identical to :func:`execute_unit_to_wire` except the resulting wire
-    dict is staged in a shared-memory segment when big enough (see
-    :func:`repro.core.resultio.wire_to_shm_token`), so the pool's result
-    channel carries a tiny claim token instead of pickling a multi-
-    kilobyte campaign document through a pipe.  Harvest sites resolve the
-    token with :func:`repro.core.resultio.claim_wire`.
-    """
-    from .resultio import wire_to_shm_token
-
-    return wire_to_shm_token(execute_unit_to_wire(unit))
-
-
-def _discard_late_wire(future: Any) -> None:
-    """Done-callback for abandoned futures: unlink a late shm segment.
-
-    A unit that times out is failed immediately, but the worker may still
-    finish and stage its result in shared memory; nobody will ever claim
-    that token, so this callback releases the segment the moment the late
-    future resolves.
-    """
-    from .resultio import discard_wire_token
-
-    try:
-        discard_wire_token(future.result(timeout=0))
-    except BaseException:
-        pass
-
-
 def _rehydrate(unit: CampaignUnit, wire: dict) -> Any:
     from .resultio import campaign_from_wire, session_from_wire, vfuzz_from_wire
 
@@ -248,21 +217,6 @@ def _rehydrate(unit: CampaignUnit, wire: dict) -> Any:
 
 
 # -- parent side ---------------------------------------------------------------
-
-
-def outcomes_harness_snapshot(outcomes: Sequence[UnitOutcome]) -> Any:
-    """Executor metrics for a finished batch: units, retries, failures."""
-    from ..obs.metrics import harness_snapshot
-
-    return harness_snapshot(
-        units=len(outcomes),
-        attempts=[outcome.attempts for outcome in outcomes],
-        failure_categories=[
-            outcome.failure.category
-            for outcome in outcomes
-            if outcome.failure is not None
-        ],
-    )
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -383,14 +337,13 @@ def _collect_round(
     futures = {}
     for index, outcome in pending.items():
         outcome.attempts += 1
-        futures[index] = pool.submit(execute_unit_to_shm_wire, outcome.unit)
+        futures[index] = pool.submit(execute_unit_to_wire, outcome.unit)
     for index, future in futures.items():
         outcome = pending[index]
         try:
             wire = claim_wire(future.result(timeout=timeout))
         except FutureTimeout:
             future.cancel()
-            future.add_done_callback(_discard_late_wire)
             outcome.failure = UnitFailure(
                 unit=outcome.unit,
                 category=FAILURE_TIMEOUT,

@@ -65,10 +65,6 @@ class NodeMemoryError(SimulatorError):
     """The controller NVM / node table rejected an operation."""
 
 
-class DeviceOfflineError(SimulatorError):
-    """An operation targeted a device that is powered off or crashed."""
-
-
 class FuzzerError(ReproError):
     """The fuzzing engine was driven into an invalid state."""
 

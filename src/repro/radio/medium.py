@@ -12,7 +12,6 @@ frame, far ones suffer increasing loss until the link dies.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -63,26 +62,6 @@ class Reception:
 
 #: Endpoint receive callback signature.
 ReceiveCallback = Callable[[Reception], None]
-
-#: Engine selector.  "batched" — the only engine — delivers every
-#: transmission through one arg-carrying clock event holding all
-#: per-endpoint records.  The legacy one-closure-per-delivery loop was
-#: removed once the equivalence matrix (tests/test_engine_equivalence.py)
-#: proved byte-identical campaign documents across every cell of
-#: (device x mode x scheduler x fault-plan x workers); the matrix now
-#: runs as the engine's determinism re-run.
-ENGINES = ("batched",)
-
-
-def active_engine() -> str:
-    """The engine selected by ``ZCOVER_ENGINE`` (default "batched")."""
-    engine = os.environ.get("ZCOVER_ENGINE", "batched")
-    if engine not in ENGINES:
-        raise RadioError(
-            f"unknown ZCOVER_ENGINE {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
 
 @dataclass
 class _Endpoint:
@@ -144,18 +123,11 @@ class RadioMedium:
         # it runs once per (sender, topology) instead of once per transmit.
         # A plan is (records, out_of_range): records are the endpoints that
         # reach the rng draw — in listener order, so rng consumption is
-        # unchanged — and out_of_range counts the sub-sensitivity listeners
-        # the legacy loop tallied as losses on every transmission.
+        # unchanged — and out_of_range counts the sub-sensitivity listeners,
+        # each booked as one loss on every transmission.
         # Invalidated with the topology caches and on every enabled flip
         # (the only write path is :meth:`set_enabled`).
         self._plan_cache: Dict[str, Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]] = {}
-        # Airtime keyed by (frame length, rate): the duration formula only
-        # reads those two values, and campaign traffic reuses a handful of
-        # frame sizes thousands of times.
-        self._airtime_cache: Dict[Tuple[int, float], float] = {}
-        # Validates ZCOVER_ENGINE once per medium: an unknown (or removed)
-        # engine selection fails loudly at construction, never mid-campaign.
-        active_engine()
 
     # -- attachment -------------------------------------------------------------
 
@@ -230,12 +202,7 @@ class RadioMedium:
         if source is None:
             raise RadioError(f"unknown transmitter {sender!r}")
         self._transmissions += 1
-        airtime_key = (len(frame_bytes), rate_kbaud)
-        airtime = self._airtime_cache.get(airtime_key)
-        if airtime is None:
-            airtime = self._airtime_cache[airtime_key] = airtime_seconds(
-                frame_bytes, rate_kbaud
-            )
+        airtime = airtime_seconds(frame_bytes, rate_kbaud)
         extra_delay = 0.0
         duplicate = False
         if self.fault_injector is not None:
@@ -274,14 +241,13 @@ class RadioMedium:
     ) -> float:
         """Batched delivery: one clock event carries every listener record.
 
-        The per-endpoint filter/rng sequence is byte-identical to the
-        legacy loop (same draws, same order); only the scheduling changes.
-        Legacy pushed one closure per (endpoint, offset) with consecutive
-        seq numbers and a shared fire time, so the heap drained them in
-        listener order anyway — the batch event replays exactly that order
-        from a tuple of records, with one heap push per fire time instead
-        of one per delivery.  Collision cancellation maps 1:1: cancelling
-        the batch id cancels all of the transmission's deliveries.
+        Listeners are filtered and drawn for in attach order — one loss
+        draw per endpoint above sensitivity, then the noise draws — and
+        the batch event replays the surviving records in that same order
+        at a single fire time, with one heap push per (transmission,
+        offset).  Delivery order therefore equals listener order, and
+        cancelling the batch id (collisions) cancels every delivery of the
+        transmission at once.
         """
         plan = self._plan_cache.get(sender)
         if plan is None:
@@ -341,8 +307,8 @@ class RadioMedium:
 
         Returns the endpoints that reach the loss draw (in listener order,
         with their link rssi and loss probability) plus the count of
-        listeners below their sensitivity floor, which the per-transmit
-        loop booked as losses each time.
+        listeners below their sensitivity floor, which every transmit
+        books as losses.
         """
         reachable: List[Tuple[_Endpoint, float, float]] = []
         out_of_range = 0
@@ -370,14 +336,11 @@ class RadioMedium:
         Runs at the batch's fire time.  The enabled check happens here —
         per record, immediately before its callback — so a callback
         earlier in the batch that powers a later listener down still
-        suppresses that delivery, exactly as the per-event legacy path
-        did.  The ``Reception`` timestamp is read from the live clock per
-        record for the same reason.
+        suppresses that delivery.
         """
         records, airtime, rate_kbaud, offset = batch
-        # Callbacks never advance the clock, so every record of the batch
-        # sees the same ``now`` — hoisting the timestamp preserves the
-        # legacy per-event value (fire-time now + airtime + offset) exactly.
+        # Callbacks never advance the clock, so one timestamp (fire-time
+        # ``now`` plus airtime plus offset) stamps every record of the batch.
         timestamp = self._clock.now + airtime + offset
         for endpoint, raw_bytes, phy_bits, rssi, bit_errors in records:
             if not endpoint.enabled:

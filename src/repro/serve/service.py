@@ -444,7 +444,13 @@ class ZCoverService:
                     length = int(value.strip())
                 except ValueError:
                     return 400, _error_body("content-length"), _JSON
-        body = await reader.readexactly(length) if length > 0 else b""
+                if length < 0:
+                    return 400, _error_body("content-length"), _JSON
+        try:
+            body = await reader.readexactly(length) if length > 0 else b""
+        except asyncio.IncompleteReadError:
+            # The client closed its side before sending the declared body.
+            return 400, _error_body("content-length"), _JSON
         path = target.partition("?")[0]
         return self._route(method, path, body)
 

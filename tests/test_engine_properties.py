@@ -9,17 +9,23 @@ ordering and rng contracts the engine migration relied on:
   tie-break key; cancellation never perturbs the order of survivors;
 * **rng draw identity under caching** (200 seeds) — the loss draw
   happens for every endpoint above sensitivity, even on perfect links,
-  and cache state (delivery-plan, rssi, airtime) never changes rng
+  and cache state (delivery-plan, rssi) never changes rng
   consumption: a medium whose caches are invalidated before every
   transmission draws the exact same random stream as a warm one;
 * **reference-model equivalence** (100 seeds) — the batched delivery of
   a clean-channel transmission matches an independent per-endpoint
   reimplementation of the retired legacy loop (same filter chain, same
   draw order, same delivery order and timestamps).
+
+A scripted medium scenario closes the suite: the bit-accurate decoder,
+channel noise, collision cancellation, receiver toggles and fault-injected
+duplicate/delay offsets, run twice and fingerprinted byte for byte.
 """
 
+import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -198,3 +204,72 @@ def test_batched_delivery_matches_reference_model(seed):
     assert received == expected_received
     assert medium.stats["losses"] == expected_losses
     assert medium.stats["deliveries"] == len(expected_received)
+
+
+# -- medium-level scripted scenario ---------------------------------------------
+#
+# Campaigns run the clean-channel fast path; this scenario drives the
+# bit-accurate decoder, channel noise, collision cancellation and
+# fault-injected duplicate/delay offsets — every branch of the batch
+# delivery loop — and fingerprints all of it.
+
+
+class _DuplicatingInjector:
+    """Minimal fault hook: duplicate every 3rd frame, delay every 4th."""
+
+    def __init__(self):
+        self.count = 0
+
+    def on_transmit(self, sender, frame_bytes):
+        self.count += 1
+        return SimpleNamespace(
+            drop=False,
+            corrupt=None,
+            extra_delay=0.002 if self.count % 4 == 0 else 0.0,
+            duplicate=self.count % 3 == 0,
+        )
+
+
+def _medium_fingerprint():
+    clock = SimClock()
+    medium = RadioMedium(
+        clock, noise_bit_rate=0.002, bit_accurate=True, collisions=True
+    )
+    medium.fault_injector = _DuplicatingInjector()
+    received = []
+
+    def listener(name):
+        return lambda reception: received.append(
+            (
+                name,
+                reception.raw.hex(),
+                round(reception.rssi_dbm, 6),
+                round(reception.timestamp, 9),
+                reception.bit_errors,
+            )
+        )
+
+    medium.attach("ctrl", (0.0, 0.0), Region.EU, listener("ctrl"))
+    medium.attach("near", (3.0, 0.0), Region.EU, listener("near"))
+    medium.attach("edge", (95.0, 0.0), Region.EU, listener("edge"))
+    medium.attach("deaf", (500.0, 0.0), Region.EU, listener("deaf"))
+    medium.attach("us", (1.0, 1.0), Region.US, listener("us"))
+
+    frame = bytes(range(18))
+    for step in range(40):
+        sender = ("ctrl", "near", "edge")[step % 3]
+        medium.transmit(sender, frame + bytes([step]), rate_kbaud=100.0)
+        if step == 10:
+            # Two back-to-back transmissions collide and cancel each other.
+            medium.transmit("near", frame, rate_kbaud=100.0)
+        if step == 20:
+            medium.set_enabled("near", False)
+        if step == 25:
+            medium.set_enabled("near", True)
+        clock.advance(0.01)
+    clock.advance(1.0)
+    return json.dumps([received, medium.stats], sort_keys=True)
+
+
+def test_medium_scenario_fingerprint_identical():
+    assert _medium_fingerprint() == _medium_fingerprint()

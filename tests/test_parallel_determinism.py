@@ -6,14 +6,30 @@ across worker processes and ships results back in the
 historical in-process loop calling :func:`run_campaign` directly.  Every
 observable — bug IDs, discovery times, coverage, the rendered report —
 must agree bit for bit, or parallelism has changed the science.
+
+The run-twice matrix at the end widens the same contract across the
+(device x mode x scheduler x fault-plan x workers) cells plus the chaos
+and session documents: each cell is rendered twice — campaign, session
+or chaos document plus the obs counter snapshot — and the two renderings
+must be byte-identical.  The committed goldens pin the bytes themselves;
+the matrix pins that nothing in a run depends on process history.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.summary import campaign_report
 from repro.core.campaign import Mode, run_ablation, run_campaign
-from repro.core.resultio import campaign_to_wire, dumps_wire
+from repro.core.resultio import campaign_to_wire, dumps_wire, session_to_wire
+from repro.core.session import run_sessions
 from repro.core.trials import run_trials
+from repro.faults.plan import canonical_mixed_plan
+from repro.faults.report import build_chaos_document, dumps_chaos_document
 from repro.obs.export import dumps_document
 
 N_TRIALS = 3
@@ -103,3 +119,143 @@ class TestAblationDeterminism:
         assert list(serial) == list(parallel)
         for mode in serial:
             assert serial[mode] == parallel[mode]
+
+
+# -- run-twice matrix ------------------------------------------------------------
+
+CELL_DURATION = 600.0  # 10 simulated minutes: all the early bugs, fast cells
+CELL_SEED = 0
+
+
+def _obs_slice(result):
+    """Canonical rendering of a campaign's metrics counter snapshot."""
+    counters = result.metrics.counters if result.metrics is not None else {}
+    return json.dumps(
+        {key: counters[key] for key in sorted(counters)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _campaign_cell(device, mode, scheduler, with_faults):
+    plan = canonical_mixed_plan() if with_faults else None
+    result = run_campaign(
+        device=device,
+        mode=mode,
+        duration=CELL_DURATION,
+        seed=CELL_SEED,
+        scheduler=scheduler,
+        fault_plan=plan,
+    )
+    return dumps_wire(campaign_to_wire(result)) + "\n" + _obs_slice(result)
+
+
+def _chaos_cell(device):
+    plan = canonical_mixed_plan()
+    summary = run_trials(
+        device=device,
+        mode=Mode.FULL,
+        n_trials=2,
+        duration=CELL_DURATION,
+        base_seed=CELL_SEED,
+        workers=1,
+        fault_plan=plan,
+    )
+    return dumps_chaos_document(build_chaos_document(summary, plan, CELL_SEED))
+
+
+def _session_cell(device):
+    return dumps_wire(session_to_wire(run_sessions(device, seed=CELL_SEED)))
+
+
+def _workers_cell(device, workers):
+    summary = run_trials(
+        device=device,
+        mode=Mode.FULL,
+        n_trials=2,
+        duration=CELL_DURATION,
+        base_seed=CELL_SEED,
+        workers=workers,
+    )
+    assert summary.failures == []
+    return (
+        "".join(dumps_wire(campaign_to_wire(trial)) for trial in summary.trials)
+        + "\n"
+        + summary.render()
+    )
+
+
+CELLS = (
+    ("campaign-D1-FULL-static", lambda: _campaign_cell("D1", Mode.FULL, "static", False)),
+    ("campaign-D1-BETA-static", lambda: _campaign_cell("D1", Mode.BETA, "static", False)),
+    ("campaign-D1-GAMMA-static", lambda: _campaign_cell("D1", Mode.GAMMA, "static", False)),
+    ("campaign-D2-FULL-coverage", lambda: _campaign_cell("D2", Mode.FULL, "coverage", False)),
+    ("campaign-D2-FULL-faultplan", lambda: _campaign_cell("D2", Mode.FULL, "static", True)),
+    ("chaos-D1-trials", lambda: _chaos_cell("D1")),
+    ("sessions-D1", lambda: _session_cell("D1")),
+    ("trials-D1-workers2", lambda: _workers_cell("D1", 2)),
+)
+
+
+@pytest.mark.parametrize("name,build", CELLS, ids=[name for name, _ in CELLS])
+def test_matrix_cell_documents_byte_identical(name, build):
+    """Two runs of a cell render the exact same bytes."""
+    assert build() == build(), f"run-to-run drift in matrix cell {name}"
+
+
+def test_workers_commute():
+    """serial and --workers 2, each run twice: all four documents equal.
+
+    Worker count must be invisible, and stay invisible across repeated
+    runs in one process, so one document stands for the whole square.
+    """
+    documents = [
+        _workers_cell("D2", workers) for _run in range(2) for workers in (1, 2)
+    ]
+    reference = documents[0]
+    for document in documents[1:]:
+        assert document == reference
+
+
+# -- resource hygiene ------------------------------------------------------------
+
+_POOLED_RUN = """
+import multiprocessing
+from multiprocessing import resource_tracker
+from repro.core.campaign import Mode
+from repro.core.trials import run_trials
+
+# Pinned because forkserver and spawn start the tracker on their own.
+multiprocessing.set_start_method("fork")
+summary = run_trials("D1", Mode.FULL, n_trials=2, duration=600.0,
+                     base_seed=0, workers=2)
+assert summary.failures == [], summary.failures
+print(resource_tracker._resource_tracker._pid)
+"""
+
+
+def _shm_entries():
+    shm = Path("/dev/shm")
+    return set(os.listdir(shm)) if shm.is_dir() else set()
+
+
+def test_pooled_run_leaves_nothing_behind():
+    """A ``workers=2`` run starts no resource tracker and leaves no segment.
+
+    Runs in a fresh interpreter so no earlier test can have started the
+    ``multiprocessing`` resource tracker: worker results travel as plain
+    pickled wire dicts, so the parent never registers a resource with it.
+    """
+    before = _shm_entries()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOLED_RUN],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None", "parent started a resource tracker"
+    assert _shm_entries() - before == set()

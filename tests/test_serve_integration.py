@@ -145,6 +145,42 @@ class TestProtocolSurface:
         assert payload["error"]["found"] == WIRE_VERSION + 1
         assert payload["error"]["expected"] == WIRE_VERSION
 
+    @staticmethod
+    def _raw_post(port, content_length, body):
+        """POST /jobs over a bare socket, half-closing after *body*.
+
+        The half-close lets the server see end-of-stream, so a declared
+        length longer than *body* is observable instead of a hang.
+        """
+        import socket
+
+        head = (
+            "POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(head + body)
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        status_line, _, rest = response.partition(b"\r\n")
+        payload = json.loads(rest.partition(b"\r\n\r\n")[2].decode("utf-8"))
+        return int(status_line.split()[1]), payload
+
+    def test_negative_content_length_rejected(self, service):
+        status, payload = self._raw_post(service.port, -1, b"{}")
+        assert status == 400
+        assert payload["error"]["kind"] == "content-length"
+
+    def test_content_length_beyond_body_rejected(self, service):
+        status, payload = self._raw_post(service.port, 1000, b'{"kind": "trials"}')
+        assert status == 400
+        assert payload["error"]["kind"] == "content-length"
+
     def test_unknown_job_and_path_are_404(self, client):
         with pytest.raises(ServeClientError) as excinfo:
             client.status("job-ffffffff")
