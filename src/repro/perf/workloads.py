@@ -2,8 +2,9 @@
 
 Each workload exercises one loop the campaign throughput depends on —
 frame codec round-trips, PSM mutation batches, controller dispatch, the
-full engine frames/sec loop, and the resultio wire codec — plus a pure
-interpreter *calibration* loop used to normalise timings across machines.
+full engine frames/sec loop, the S2 transport, and the resultio wire
+codec — plus a pure interpreter *calibration* loop used to normalise
+timings across machines.
 
 A workload is a ``prepare(fast) -> thunk`` pair: ``prepare`` builds the
 inputs outside the timed region (registries, SUTs, pre-drawn field
@@ -220,6 +221,73 @@ def prepare_campaign_fps(fast: bool) -> Callable[[], WorkloadRun]:
     return run
 
 
+# -- S2 transport -----------------------------------------------------------------
+
+
+def prepare_security_s2(fast: bool) -> Callable[[], WorkloadRun]:
+    """S2 encapsulate → decapsulate at the traffic mix campaigns produce.
+
+    The security layer dominates traffic-on campaigns, yet ``campaign_fps``
+    runs with traffic off, so this loop is what times AES in the perf
+    gate.  Its shares are measured: over the first twelve 1-hour FULL
+    campaigns of the end-to-end benchmark's ``campaign_serial`` stream
+    (seed 1, D1/D3 alternating) S2 made 2,581 encapsulations and 2,627
+    decapsulations.  348 of those (13%) verified at the first window
+    nonce and none further in; 2,279 (87%) tried every window nonce and
+    raised :class:`~repro.errors.NonceError`, the receiver holding an
+    inbound SPAN the sender had replaced.  There were 297
+    ``establish_span`` calls (one per nine decapsulations), and every
+    plaintext was 2 bytes (55%) or 4 bytes (45%).  The traced 20 s run of
+    the same stream agrees: ``security.s2_decap_failures`` 753 of
+    ``security.s2_decaps`` 869.
+
+    Each op encapsulates one payload and decapsulates it, either on a
+    receiver sharing the sender's SPAN or on one whose inbound SPAN came
+    from other entropy.  Before one op in eighteen the in-sync pair
+    re-handshakes (two ``establish_span`` calls).  The checksum folds
+    every ciphertext, every recovered plaintext and the ``NonceError``
+    count.
+    """
+    from ..errors import NonceError
+    from ..security.s2 import S2Context
+
+    rng = random.Random(0x52)
+    count = 64 if fast else 256
+    network_key = bytes(rng.randrange(256) for _ in range(16))
+    home_id = 0xC0DE5EC2
+    plan = []
+    for _ in range(count):
+        length = 2 if rng.random() < 0.55 else 4
+        payload = bytes(rng.randrange(256) for _ in range(length))
+        plan.append((payload, rng.random() < 0.13, rng.random() < 1 / 18))
+
+    def run() -> WorkloadRun:
+        sender = S2Context(network_key, 1, random.Random(1))
+        synced = S2Context(network_key, 2, random.Random(2))
+        stale = S2Context(network_key, 3, random.Random(3))
+        sender.establish_span(3, sender.generate_entropy(3), bytes(16), inbound=False)
+        stale.establish_span(1, stale.generate_entropy(1), bytes(16), inbound=True)
+        checksum = 0
+        nonce_errors = 0
+        for payload, in_sync, rehandshake in plan:
+            if rehandshake or not synced.has_span(1, inbound=True):
+                sender_entropy = sender.generate_entropy(2)
+                receiver_entropy = synced.generate_entropy(1)
+                sender.establish_span(2, sender_entropy, receiver_entropy, inbound=False)
+                synced.establish_span(1, sender_entropy, receiver_entropy, inbound=True)
+            peer, receiver = (2, synced) if in_sync else (3, stale)
+            encap = sender.encapsulate(payload, peer, 1, peer, home_id)
+            checksum = _crc(checksum, encap.encode())
+            try:
+                checksum = _crc(checksum, receiver.decapsulate(encap, 1, 1, peer, home_id))
+            except NonceError:
+                nonce_errors += 1
+        checksum = _crc(checksum, nonce_errors.to_bytes(4, "big"))
+        return WorkloadRun(len(plan), checksum)
+
+    return run
+
+
 # -- event queue ----------------------------------------------------------------
 
 
@@ -361,6 +429,7 @@ WORKLOADS: Dict[str, WorkloadPrepare] = {
     "controller_dispatch": prepare_controller_dispatch,
     "event_queue": prepare_event_queue,
     "campaign_fps": prepare_campaign_fps,
+    "security_s2": prepare_security_s2,
     "resultio_wire": prepare_resultio_wire,
     "lint_tree": prepare_lint_tree,
 }

@@ -7,13 +7,19 @@ crypto package is assumed, so the block cipher is implemented here from the
 standard; it is validated against the FIPS-197 appendix vectors in the test
 suite.
 
-The implementation favours clarity over speed — the simulator exchanges a
-few hundred thousand small frames at most, well within reach of a table
--driven pure-Python cipher.
+Every S0/S2 frame of a campaign passes through :meth:`AES128.encrypt_block`,
+so the encrypt direction uses the 32-bit T-table formulation from Daemen and
+Rijmen's Rijndael proposal: SubBytes, ShiftRows and MixColumns of one round
+collapse into four table lookups per output column, over four 256-entry
+tables (``TE0``..``TE3``) built once at import from the S-box.  The state is
+four big-endian 32-bit column words and the key schedule 44 of them.  The
+inverse cipher keeps the plain byte-wise FIPS-197 rounds; no protocol mode
+uses it (CCM, CMAC, OFB and CTR only encrypt).
 """
 
 from __future__ import annotations
 
+import struct
 from typing import List
 
 from ..errors import CryptoError
@@ -79,41 +85,58 @@ def _mul(a: int, b: int) -> int:
     return result
 
 
+def _build_te0() -> tuple:
+    """T-table for row 0: SubBytes then the MixColumns column (2s, s, s, 3s)."""
+    table = []
+    for s in SBOX:
+        s2 = _xtime(s)
+        table.append(s2 << 24 | s << 16 | s << 8 | (s2 ^ s))
+    return tuple(table)
+
+
+def _rotate_right(table: tuple) -> tuple:
+    """The next row's T-table: every word rotated right by one byte."""
+    return tuple((w >> 8 | w << 24) & 0xFFFFFFFF for w in table)
+
+
+TE0 = _build_te0()
+TE1 = _rotate_right(TE0)
+TE2 = _rotate_right(TE1)
+TE3 = _rotate_right(TE2)
+
+#: A 16-byte block as four big-endian 32-bit column words.
+_WORDS = struct.Struct(">4I")
+_SCHEDULE = struct.Struct(">44I")
+
+
 # -- key schedule --------------------------------------------------------------
 
 
-def expand_key(key: bytes) -> List[List[int]]:
-    """Expand a 16-byte key into the 11 round keys (as 16-byte lists)."""
+def expand_key(key: bytes) -> List[bytes]:
+    """Expand a 16-byte key into the 11 round keys (16 bytes each)."""
     if len(key) != KEY_SIZE:
         raise CryptoError(f"AES-128 requires a 16-byte key, got {len(key)}")
-    words: List[List[int]] = [list(key[i : i + 4]) for i in range(0, 16, 4)]
+    words = list(_WORDS.unpack(key))
     for i in range(4, 4 * (ROUNDS + 1)):
-        temp = list(words[i - 1])
+        temp = words[i - 1]
         if i % 4 == 0:
-            temp = temp[1:] + temp[:1]
-            temp = [SBOX[b] for b in temp]
-            temp[0] ^= RCON[i // 4 - 1]
-        words.append([a ^ b for a, b in zip(words[i - 4], temp)])
-    round_keys = []
-    for r in range(ROUNDS + 1):
-        rk: List[int] = []
-        for w in words[4 * r : 4 * r + 4]:
-            rk.extend(w)
-        round_keys.append(rk)
-    return round_keys
+            # RotWord, SubWord and the round constant in one step.
+            temp = (
+                (SBOX[temp >> 16 & 0xFF] ^ RCON[i // 4 - 1]) << 24
+                | SBOX[temp >> 8 & 0xFF] << 16
+                | SBOX[temp & 0xFF] << 8
+                | SBOX[temp >> 24]
+            )
+        words.append(words[i - 4] ^ temp)
+    return [_WORDS.pack(*words[i : i + 4]) for i in range(0, len(words), 4)]
 
 
 # -- round operations ----------------------------------------------------------
 
 
-def _add_round_key(state: List[int], round_key: List[int]) -> None:
+def _add_round_key(state: List[int], round_key: bytes) -> None:
     for i in range(16):
         state[i] ^= round_key[i]
-
-
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = SBOX[state[i]]
 
 
 def _inv_sub_bytes(state: List[int]) -> None:
@@ -125,29 +148,12 @@ def _inv_sub_bytes(state: List[int]) -> None:
 # matching the FIPS-197 byte ordering of the input block.
 
 
-def _shift_rows(state: List[int]) -> None:
-    for row in range(1, 4):
-        column_values = [state[row + 4 * col] for col in range(4)]
-        shifted = column_values[row:] + column_values[:row]
-        for col in range(4):
-            state[row + 4 * col] = shifted[col]
-
-
 def _inv_shift_rows(state: List[int]) -> None:
     for row in range(1, 4):
         column_values = [state[row + 4 * col] for col in range(4)]
         shifted = column_values[-row:] + column_values[:-row]
         for col in range(4):
             state[row + 4 * col] = shifted[col]
-
-
-def _mix_columns(state: List[int]) -> None:
-    for col in range(4):
-        a = state[4 * col : 4 * col + 4]
-        state[4 * col + 0] = _mul(a[0], 2) ^ _mul(a[1], 3) ^ a[2] ^ a[3]
-        state[4 * col + 1] = a[0] ^ _mul(a[1], 2) ^ _mul(a[2], 3) ^ a[3]
-        state[4 * col + 2] = a[0] ^ a[1] ^ _mul(a[2], 2) ^ _mul(a[3], 3)
-        state[4 * col + 3] = _mul(a[0], 3) ^ a[1] ^ a[2] ^ _mul(a[3], 2)
 
 
 def _inv_mix_columns(state: List[int]) -> None:
@@ -166,38 +172,56 @@ class AES128:
     """AES-128 with a pre-expanded key schedule."""
 
     def __init__(self, key: bytes):
-        self._round_keys = expand_key(key)
+        self._round_keys = _SCHEDULE.unpack(b"".join(expand_key(key)))
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        state = list(block)
-        _add_round_key(state, self._round_keys[0])
-        for r in range(1, ROUNDS):
-            _sub_bytes(state)
-            _shift_rows(state)
-            _mix_columns(state)
-            _add_round_key(state, self._round_keys[r])
-        _sub_bytes(state)
-        _shift_rows(state)
-        _add_round_key(state, self._round_keys[ROUNDS])
-        return bytes(state)
+        rk = self._round_keys
+        te0, te1, te2, te3 = TE0, TE1, TE2, TE3
+        s0, s1, s2, s3 = _WORDS.unpack(block)
+        s0 ^= rk[0]
+        s1 ^= rk[1]
+        s2 ^= rk[2]
+        s3 ^= rk[3]
+        for i in range(4, 4 * ROUNDS, 4):
+            k0, k1, k2, k3 = rk[i : i + 4]
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255] ^ k0,
+                te0[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255] ^ k1,
+                te0[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255] ^ k2,
+                te0[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255] ^ k3,
+            )
+        # The last round has no MixColumns: SubBytes and ShiftRows only.
+        k0, k1, k2, k3 = rk[4 * ROUNDS :]
+        sb = SBOX
+        return _WORDS.pack(
+            (sb[s0 >> 24] << 24 | sb[s1 >> 16 & 255] << 16 | sb[s2 >> 8 & 255] << 8 | sb[s3 & 255])
+            ^ k0,
+            (sb[s1 >> 24] << 24 | sb[s2 >> 16 & 255] << 16 | sb[s3 >> 8 & 255] << 8 | sb[s0 & 255])
+            ^ k1,
+            (sb[s2 >> 24] << 24 | sb[s3 >> 16 & 255] << 16 | sb[s0 >> 8 & 255] << 8 | sb[s1 & 255])
+            ^ k2,
+            (sb[s3 >> 24] << 24 | sb[s0 >> 16 & 255] << 16 | sb[s1 >> 8 & 255] << 8 | sb[s2 & 255])
+            ^ k3,
+        )
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
+        round_keys = [_WORDS.pack(*self._round_keys[i : i + 4]) for i in range(0, 44, 4)]
         state = list(block)
-        _add_round_key(state, self._round_keys[ROUNDS])
+        _add_round_key(state, round_keys[ROUNDS])
         for r in range(ROUNDS - 1, 0, -1):
             _inv_shift_rows(state)
             _inv_sub_bytes(state)
-            _add_round_key(state, self._round_keys[r])
+            _add_round_key(state, round_keys[r])
             _inv_mix_columns(state)
         _inv_shift_rows(state)
         _inv_sub_bytes(state)
-        _add_round_key(state, self._round_keys[0])
+        _add_round_key(state, round_keys[0])
         return bytes(state)
 
     # -- modes of operation ----------------------------------------------------

@@ -63,23 +63,21 @@ def _ctr_crypt(cipher: AES128, nonce: bytes, data: bytes) -> bytes:
     return bytes(out)
 
 
-def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
-    """Encrypt and authenticate; returns ciphertext || 8-byte tag."""
+def ccm_seal(cipher: AES128, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
+    """Encrypt and authenticate under an expanded key; returns ciphertext || tag."""
     if len(nonce) != NONCE_LENGTH:
         raise CryptoError(f"CCM nonce must be {NONCE_LENGTH} bytes, got {len(nonce)}")
-    cipher = AES128(key)
     tag = _compute_tag(cipher, nonce, aad, plaintext)
     return _ctr_crypt(cipher, nonce, plaintext) + tag
 
 
-def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, blob: bytes) -> bytes:
-    """Verify and decrypt ciphertext || tag; raises on a bad tag."""
+def ccm_open(cipher: AES128, nonce: bytes, aad: bytes, blob: bytes) -> bytes:
+    """Verify and decrypt ciphertext || tag under an expanded key; raises on a bad tag."""
     if len(nonce) != NONCE_LENGTH:
         raise CryptoError(f"CCM nonce must be {NONCE_LENGTH} bytes, got {len(nonce)}")
     if len(blob) < TAG_LENGTH:
         raise AuthenticationError("CCM blob shorter than the authentication tag")
     ciphertext, tag = blob[:-TAG_LENGTH], blob[-TAG_LENGTH:]
-    cipher = AES128(key)
     plaintext = _ctr_crypt(cipher, nonce, ciphertext)
     expected = _compute_tag(cipher, nonce, aad, plaintext)
     diff = 0
@@ -88,3 +86,13 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, blob: bytes) -> bytes:
     if diff:
         raise AuthenticationError("CCM tag verification failed")
     return plaintext
+
+
+def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
+    """Encrypt and authenticate; returns ciphertext || 8-byte tag."""
+    return ccm_seal(AES128(key), nonce, aad, plaintext)
+
+
+def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, blob: bytes) -> bytes:
+    """Verify and decrypt ciphertext || tag; raises on a bad tag."""
+    return ccm_open(AES128(key), nonce, aad, blob)

@@ -32,9 +32,12 @@ def _generate_subkeys(cipher: AES128) -> tuple:
     return k1, k2
 
 
-def aes_cmac(key: bytes, message: bytes) -> bytes:
-    """Compute the 16-byte AES-CMAC tag of *message* under *key*."""
-    cipher = AES128(key)
+def cmac(cipher: AES128, message: bytes) -> bytes:
+    """Compute the 16-byte AES-CMAC tag of *message* under an expanded key.
+
+    Callers that MAC many messages under one key (the SPAN nonce
+    generator) hold the :class:`AES128` and skip the key schedule.
+    """
     k1, k2 = _generate_subkeys(cipher)
     n_blocks = max(1, (len(message) + BLOCK_SIZE - 1) // BLOCK_SIZE)
     complete = len(message) > 0 and len(message) % BLOCK_SIZE == 0
@@ -51,6 +54,11 @@ def aes_cmac(key: bytes, message: bytes) -> bytes:
         block = message[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
         mac = cipher.encrypt_block(bytes(m ^ b for m, b in zip(mac, block)))
     return cipher.encrypt_block(bytes(m ^ b for m, b in zip(mac, last)))
+
+
+def aes_cmac(key: bytes, message: bytes) -> bytes:
+    """Compute the 16-byte AES-CMAC tag of *message* under *key*."""
+    return cmac(AES128(key), message)
 
 
 def verify_cmac(key: bytes, message: bytes, tag: bytes, tag_length: int = 16) -> bool:

@@ -49,6 +49,11 @@ class TestBlockCipher:
     def test_fips_197_vector(self):
         assert AES128(KEY).encrypt_block(FIPS_PT) == FIPS_CT
 
+    def test_fips_197_appendix_b_vector(self):
+        cipher = AES128(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+        block = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+        assert cipher.encrypt_block(block) == bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+
     def test_decrypt_inverts(self):
         assert AES128(KEY).decrypt_block(FIPS_CT) == FIPS_PT
 

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AuthenticationError, CryptoError
-from repro.security.ccm import NONCE_LENGTH, TAG_LENGTH, ccm_decrypt, ccm_encrypt
+from repro.security.aes import AES128
+from repro.security.ccm import (
+    NONCE_LENGTH,
+    TAG_LENGTH,
+    ccm_decrypt,
+    ccm_encrypt,
+    ccm_open,
+    ccm_seal,
+)
 from repro.security.cmac import aes_cmac, verify_cmac
 from repro.security.curve25519 import public_key, shared_secret, x25519
 from repro.security.kdf import ckdf_expand, ckdf_temp_extract, derive_s0_keys
@@ -70,6 +78,29 @@ class TestCmac:
         assert tag == aes_cmac(RFC4493_KEY, msg)
 
 
+class TestCcmRfc3610:
+    """RFC 3610 section 8 packet vectors #1 and #2 (M=8, L=2, as S2 uses)."""
+
+    KEY = bytes(range(0xC0, 0xD0))
+    AAD = bytes(range(8))
+
+    def test_packet_vector_1(self):
+        nonce = bytes.fromhex("00000003020100a0a1a2a3a4a5")
+        blob = ccm_encrypt(self.KEY, nonce, self.AAD, bytes(range(0x08, 0x1F)))
+        assert blob[:-TAG_LENGTH] == bytes.fromhex("588c979a61c663d2f066d0c2c0f989806d5f6b61dac384")
+        assert blob[-TAG_LENGTH:] == bytes.fromhex("17e8d12cfdf926e0")
+        assert ccm_decrypt(self.KEY, nonce, self.AAD, blob) == bytes(range(0x08, 0x1F))
+
+    def test_packet_vector_2(self):
+        nonce = bytes.fromhex("00000004030201a0a1a2a3a4a5")
+        blob = ccm_encrypt(self.KEY, nonce, self.AAD, bytes(range(0x08, 0x20)))
+        assert blob[:-TAG_LENGTH] == bytes.fromhex(
+            "72c91a36e135f8cf291ca894085c87e3cc15c439c9e43a3b"
+        )
+        assert blob[-TAG_LENGTH:] == bytes.fromhex("a091d56e10400916")
+        assert ccm_decrypt(self.KEY, nonce, self.AAD, blob) == bytes(range(0x08, 0x20))
+
+
 class TestCcm:
     KEY = b"K" * 16
     NONCE = b"N" * NONCE_LENGTH
@@ -126,6 +157,36 @@ class TestCcm:
     def test_roundtrip_property(self, plaintext, aad):
         blob = ccm_encrypt(self.KEY, self.NONCE, aad, plaintext)
         assert ccm_decrypt(self.KEY, self.NONCE, aad, blob) == plaintext
+
+    @given(
+        st.binary(min_size=16, max_size=16),
+        st.lists(
+            st.tuples(
+                st.binary(min_size=NONCE_LENGTH, max_size=NONCE_LENGTH),
+                st.binary(max_size=20),
+                st.binary(max_size=60),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=40)
+    def test_one_cipher_serves_many_messages(self, key, messages):
+        """A shared cipher carries no state between seal/open calls.
+
+        S2 contexts reuse one ``AES128`` for every message and every
+        trial decryption: sealing a batch, failing an open, then opening
+        the batch in reverse must match a fresh key schedule per call.
+        """
+        cipher = AES128(key)
+        blobs = [ccm_seal(cipher, nonce, aad, pt) for nonce, aad, pt in messages]
+        nonce, aad, _ = messages[0]
+        tampered = bytes([blobs[0][0] ^ 1]) + blobs[0][1:]
+        with pytest.raises(AuthenticationError):
+            ccm_open(cipher, nonce, aad, tampered)
+        for (nonce, aad, pt), blob in reversed(list(zip(messages, blobs))):
+            assert blob == ccm_encrypt(key, nonce, aad, pt)
+            assert ccm_open(cipher, nonce, aad, blob) == pt
 
 
 class TestX25519:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import AuthenticationError, NonceError
+from repro.security import aes
 from repro.security.s0 import NONCE_TABLE_SIZE, S0Context, S0Encapsulated, TEMP_KEY
 from repro.security.s2 import (
     S2Bootstrap,
@@ -180,6 +181,26 @@ class TestS2Encapsulation:
         encap = a.encapsulate(b"late", 1, 2, 1, self.HOME)
         with pytest.raises(NonceError):
             b.decapsulate(encap, 2, 2, 1, self.HOME)
+
+    def test_traffic_runs_no_key_schedule(self, monkeypatch):
+        # Each context and SPAN owns its expanded cipher; once the SPANs
+        # exist, no encapsulation or trial decryption re-expands a key.
+        a, b = span_pair()
+        schedules = []
+        expand = aes.expand_key
+
+        def counting_expand(key):
+            schedules.append(key)
+            return expand(key)
+
+        monkeypatch.setattr(aes, "expand_key", counting_expand)
+        encap = a.encapsulate(b"first", 1, 2, 1, self.HOME)
+        assert b.decapsulate(encap, 2, 2, 1, self.HOME) == b"first"
+        for _ in range(S2Context.SPAN_WINDOW):
+            a.encapsulate(b"lost", 1, 2, 1, self.HOME)
+        with pytest.raises(NonceError):
+            b.decapsulate(a.encapsulate(b"late", 1, 2, 1, self.HOME), 2, 2, 1, self.HOME)
+        assert schedules == []
 
     def test_no_span_raises(self):
         ctx = S2Context(KEY, node_id=1)
