@@ -3,10 +3,11 @@
 Devices and the attacker's dongle attach to one :class:`RadioMedium` at
 physical positions.  A transmission is delivered to every attached endpoint
 tuned to the same region whose received signal strength clears its
-sensitivity floor; delivery is scheduled on the simulated clock after the
-frame's airtime.  A log-distance path-loss model gives the 10-70 m attack
-range of Figure 2 realistic behaviour: near receivers always hear the
-frame, far ones suffer increasing loss until the link dies.
+sensitivity floor (and, if it has an ``address``, that the frame names);
+delivery is scheduled on the simulated clock after the frame's airtime.
+A log-distance path-loss model gives the 10-70 m attack range of Figure 2
+realistic behaviour: near receivers always hear the frame, far ones
+suffer increasing loss until the link dies.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import RadioError
-from ..zwave.constants import Region
+from ..zwave.constants import (
+    BROADCAST_NODE_ID,
+    CS8_TRAILER_SIZE,
+    DST_OFFSET,
+    HOME_ID_SLICE,
+    MAC_HEADER_SIZE,
+    Region,
+)
 from .clock import SimClock
 from .signal import airtime_seconds, corrupt_bits, decode_phy, encode_phy
 
@@ -49,8 +57,8 @@ def loss_probability(rssi_dbm: float) -> float:
 class Reception:
     """What an endpoint's receive callback is handed.
 
-    ``slots=True`` because one is allocated per endpoint per transmission —
-    the single hottest allocation site in a fuzzing campaign.
+    One is allocated per frame actually handed to a receiver; frames an
+    addressed endpoint would discard never get one.
     """
 
     raw: bytes
@@ -63,6 +71,14 @@ class Reception:
 #: Endpoint receive callback signature.
 ReceiveCallback = Callable[[Reception], None]
 
+
+def _frame_key(raw: bytes) -> Optional[Tuple[bytes, int]]:
+    """*raw*'s home id bytes and dst; ``None`` if shorter than header + CS8."""
+    if len(raw) < MAC_HEADER_SIZE + CS8_TRAILER_SIZE:
+        return None
+    return raw[HOME_ID_SLICE], raw[DST_OFFSET]
+
+
 @dataclass
 class _Endpoint:
     """Book-keeping for one attached radio."""
@@ -71,7 +87,8 @@ class _Endpoint:
     position: Tuple[float, float]
     region: Region
     callback: ReceiveCallback
-    promiscuous: bool = False
+    #: The frame keys addressed to it, or ``None`` to hear every frame.
+    accepts: Optional[frozenset] = None
     enabled: bool = True
     sensitivity_dbm: float = SENSITIVITY_DBM
 
@@ -111,22 +128,15 @@ class RadioMedium:
         #: Optional fault-injection hook (repro.faults.MediumFaultInjector);
         #: consulted once per transmission when set.
         self.fault_injector = None
-        # Topology caches, invalidated whenever geometry changes (attach /
-        # detach / move).  RSSI between two stationary endpoints is a pure
-        # function of their positions, yet the log10 path-loss evaluation
-        # dominated the per-transmission cost; the enabled/region checks
-        # stay live so cache state can never change who hears a frame.
-        self._endpoint_cache: Optional[Tuple[_Endpoint, ...]] = None
-        self._rssi_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         # Per-sender delivery plans: the sender/enabled/region/sensitivity
-        # filter chain is a pure function of topology and power state, so
-        # it runs once per (sender, topology) instead of once per transmit.
+        # filter chain and the log10 path loss are a pure function of
+        # topology and power state, so they run once per (sender,
+        # topology) instead of once per transmit.
         # A plan is (records, out_of_range): records are the endpoints that
         # reach the rng draw — in listener order, so rng consumption is
         # unchanged — and out_of_range counts the sub-sensitivity listeners,
         # each booked as one loss on every transmission.
-        # Invalidated with the topology caches and on every enabled flip
-        # (the only write path is :meth:`set_enabled`).
+        # Invalidated on attach/detach/move and on every enabled flip.
         self._plan_cache: Dict[str, Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]] = {}
 
     # -- attachment -------------------------------------------------------------
@@ -137,14 +147,23 @@ class RadioMedium:
         position: Tuple[float, float],
         region: Region,
         callback: ReceiveCallback,
-        promiscuous: bool = False,
+        address: Optional[Tuple[int, int]] = None,
         sensitivity_dbm: float = SENSITIVITY_DBM,
     ) -> None:
-        """Register an endpoint; *name* must be unique on this medium."""
+        """Register an endpoint; *name* must be unique on this medium.
+
+        An endpoint with *address* ``(home_id, node_id)`` is handed only
+        frames of at least a MAC header plus CS8 with that home id and
+        with *node_id* or broadcast as dst; without, it hears every frame.
+        """
         if name in self._endpoints:
             raise RadioError(f"endpoint {name!r} already attached")
+        accepts = None
+        if address is not None:
+            home = address[0].to_bytes(4, "big")
+            accepts = frozenset((home, dst) for dst in (address[1], BROADCAST_NODE_ID))
         self._endpoints[name] = _Endpoint(
-            name, position, region, callback, promiscuous, True, sensitivity_dbm
+            name, position, region, callback, accepts, True, sensitivity_dbm
         )
         self._invalidate_topology()
 
@@ -158,7 +177,7 @@ class RadioMedium:
         if endpoint is None:
             raise RadioError(f"no endpoint named {name!r}")
         endpoint.enabled = enabled
-        self._plan_cache.clear()
+        self._invalidate_topology()
 
     def move(self, name: str, position: Tuple[float, float]) -> None:
         """Relocate an endpoint (e.g. the attacker walking closer)."""
@@ -172,8 +191,6 @@ class RadioMedium:
         return sorted(self._endpoints)
 
     def _invalidate_topology(self) -> None:
-        self._endpoint_cache = None
-        self._rssi_cache.clear()
         self._plan_cache.clear()
 
     # -- statistics --------------------------------------------------------------
@@ -197,6 +214,18 @@ class RadioMedium:
         sensitivity thresholds) drop frames probabilistically; optional
         channel noise flips PHY bits, which the receiver's decoder then
         sees as preamble or payload corruption.
+
+        Listeners are drawn for in attach order — one loss draw per
+        endpoint above sensitivity, even on a perfect link, so plan caching
+        never changes rng consumption, then the noise draws — and one clock
+        event per extra-delay offset replays the surviving records in
+        that order at a single fire time.  An addressed endpoint is
+        filtered after its draws, so the filter never changes rng
+        consumption; it reads the sender's bytes on the clean channel and
+        the endpoint's decoded bytes on the bit-accurate path (decoding
+        is pure, so it happens here rather than at fire time).
+        Cancelling a batch id (collisions) cancels every delivery of the
+        transmission at once.
         """
         source = self._endpoints.get(sender)
         if source is None:
@@ -217,70 +246,40 @@ class RadioMedium:
                 duplicate = action.duplicate
         if self._collisions and self._collides(airtime):
             return airtime
-        phy_bits = encode_phy(frame_bytes, rate_kbaud) if self._bit_accurate else None
-        listeners = self._endpoint_cache
-        if listeners is None:
-            listeners = self._endpoint_cache = tuple(self._endpoints.values())
-        return self._transmit_batched(
-            sender, source, frame_bytes, phy_bits, airtime, rate_kbaud,
-            extra_delay, duplicate, listeners, self._rssi_cache,
-        )
-
-    def _transmit_batched(
-        self,
-        sender: str,
-        source: _Endpoint,
-        frame_bytes: bytes,
-        phy_bits: Optional[List[int]],
-        airtime: float,
-        rate_kbaud: float,
-        extra_delay: float,
-        duplicate: bool,
-        listeners: Tuple[_Endpoint, ...],
-        rssi_cache: Dict[Tuple[str, str], Tuple[float, float]],
-    ) -> float:
-        """Batched delivery: one clock event carries every listener record.
-
-        Listeners are filtered and drawn for in attach order — one loss
-        draw per endpoint above sensitivity, then the noise draws — and
-        the batch event replays the surviving records in that same order
-        at a single fire time, with one heap push per (transmission,
-        offset).  Delivery order therefore equals listener order, and
-        cancelling the batch id (collisions) cancels every delivery of the
-        transmission at once.
-        """
         plan = self._plan_cache.get(sender)
         if plan is None:
-            plan = self._plan_cache[sender] = self._build_plan(
-                sender, source, listeners, rssi_cache
-            )
+            plan = self._plan_cache[sender] = self._build_plan(sender, source)
         reachable, out_of_range = plan
         self._losses += out_of_range
         rng_random = self._rng.random
-        deliveries: List[tuple] = []
-        for endpoint, rssi, loss_p in reachable:
-            # The draw happens for every endpoint above sensitivity even on
-            # a perfect link — cache state must never change rng consumption.
-            if rng_random() < loss_p:
-                self._losses += 1
-                continue
-            if phy_bits is None:
-                deliveries.append((endpoint, frame_bytes, None, rssi, 0))
-                continue
-            delivered_bits = phy_bits
-            bit_errors = 0
-            if self._noise_bit_rate > 0.0:
-                flips = tuple(
-                    i
-                    for i in range(len(phy_bits))
-                    if rng_random() < self._noise_bit_rate
-                )
-                if flips:
-                    delivered_bits = corrupt_bits(phy_bits, flips)
-                    bit_errors = len(flips)
-            deliveries.append((endpoint, None, delivered_bits, rssi, bit_errors))
-        if deliveries:
-            records = tuple(deliveries)
+        records: List[tuple] = []
+        if self._bit_accurate:
+            phy_bits = encode_phy(frame_bytes, rate_kbaud)
+            noise = self._noise_bit_rate
+            for endpoint, rssi, loss_p in reachable:
+                if rng_random() < loss_p:
+                    self._losses += 1
+                    continue
+                flips = ()
+                if noise > 0.0:
+                    flips = tuple(i for i in range(len(phy_bits)) if rng_random() < noise)
+                try:
+                    raw = decode_phy(corrupt_bits(phy_bits, flips) if flips else phy_bits, rate_kbaud)
+                except RadioError:
+                    continue  # Undecodable garbage — receiver never syncs.
+                if endpoint.accepts is None or _frame_key(raw) in endpoint.accepts:
+                    records.append((endpoint, raw, rssi, len(flips)))
+        else:
+            key = _frame_key(frame_bytes)
+            for endpoint, rssi, loss_p in reachable:
+                if rng_random() < loss_p:
+                    self._losses += 1
+                    continue
+                accepts = endpoint.accepts
+                if accepts is None or key in accepts:
+                    records.append((endpoint, frame_bytes, rssi, 0))
+        if records:
+            batch = tuple(records)
             # A duplicated transmission arrives a second time one airtime
             # after the original (back-to-back repeat on the channel).
             offsets = (
@@ -290,18 +289,14 @@ class RadioMedium:
                 event_id = self._clock.schedule_call(
                     airtime + offset,
                     self._deliver_batch,
-                    (records, airtime, rate_kbaud, offset),
+                    (batch, airtime, rate_kbaud, offset),
                 )
                 if self._collisions:
                     self._current_transmission["events"].append(event_id)
         return airtime
 
     def _build_plan(
-        self,
-        sender: str,
-        source: _Endpoint,
-        listeners: Tuple[_Endpoint, ...],
-        rssi_cache: Dict[Tuple[str, str], Tuple[float, float]],
+        self, sender: str, source: _Endpoint
     ) -> Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]:
         """Run the listener filter chain once for *sender*.
 
@@ -312,22 +307,16 @@ class RadioMedium:
         """
         reachable: List[Tuple[_Endpoint, float, float]] = []
         out_of_range = 0
-        for endpoint in listeners:
+        for endpoint in self._endpoints.values():
             if endpoint.name == sender or not endpoint.enabled:
                 continue
             if endpoint.region != source.region:
                 continue
-            link = (sender, endpoint.name)
-            cached = rssi_cache.get(link)
-            if cached is None:
-                distance = math.dist(source.position, endpoint.position)
-                rssi = received_power_dbm(distance)
-                cached = rssi_cache[link] = (rssi, loss_probability(rssi))
-            rssi, loss_p = cached
+            rssi = received_power_dbm(math.dist(source.position, endpoint.position))
             if rssi < endpoint.sensitivity_dbm:
                 out_of_range += 1
                 continue
-            reachable.append((endpoint, rssi, loss_p))
+            reachable.append((endpoint, rssi, loss_probability(rssi)))
         return tuple(reachable), out_of_range
 
     def _deliver_batch(self, batch: tuple) -> None:
@@ -342,26 +331,10 @@ class RadioMedium:
         # Callbacks never advance the clock, so one timestamp (fire-time
         # ``now`` plus airtime plus offset) stamps every record of the batch.
         timestamp = self._clock.now + airtime + offset
-        for endpoint, raw_bytes, phy_bits, rssi, bit_errors in records:
-            if not endpoint.enabled:
-                continue
-            if raw_bytes is not None:
-                raw = raw_bytes
-            else:
-                try:
-                    raw = decode_phy(phy_bits, rate_kbaud)
-                except RadioError:
-                    continue  # Undecodable garbage — receiver never syncs.
-            self._deliveries += 1
-            endpoint.callback(
-                Reception(
-                    raw=raw,
-                    rssi_dbm=rssi,
-                    timestamp=timestamp,
-                    rate_kbaud=rate_kbaud,
-                    bit_errors=bit_errors,
-                )
-            )
+        for endpoint, raw, rssi, bit_errors in records:
+            if endpoint.enabled:
+                self._deliveries += 1
+                endpoint.callback(Reception(raw, rssi, timestamp, rate_kbaud, bit_errors))
 
     def _collides(self, airtime: float) -> bool:
         """Collision bookkeeping: destroy overlapping transmissions.

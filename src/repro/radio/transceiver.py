@@ -82,13 +82,7 @@ class Transceiver:
         self._region = region
         self._rate_kbaud = rate_kbaud
         if not self._attached:
-            self._medium.attach(
-                self._name,
-                self._position,
-                region,
-                self._on_receive,
-                promiscuous=True,
-            )
+            self._medium.attach(self._name, self._position, region, self._on_receive)
             self._attached = True
 
     @property

@@ -40,6 +40,7 @@ real sockets, and its ``stop(drain=False)`` simulates a hard kill.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import threading
 from typing import Dict, Optional, Tuple
@@ -83,11 +84,24 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
+    413: "Content Too Large",
     500: "Internal Server Error",
 }
 
 _JSON = "application/json"
+
+#: Limits of the HTTP front.  A longer request or header line, or more
+#: header lines, gets 400; a larger declared body gets 413 before any of
+#: it is read (a job spec is a few hundred bytes); a request that is not
+#: complete within the deadline gets 408.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
+MAX_BODY_BYTES = 1024 * 1024
+REQUEST_DEADLINE_S = 10.0
+#: Seconds a refused request's connection keeps dropping input before closing.
+LINGER_S = 2.0
 
 
 def _error_body(kind: str, **fields) -> str:
@@ -96,6 +110,27 @@ def _error_body(kind: str, **fields) -> str:
     for key in sorted(fields):
         payload[key] = fields[key]
     return json.dumps({"error": payload}, sort_keys=True)
+
+
+class _RequestRejected(Exception):
+    """A request refused before routing, with its status and error body."""
+
+    def __init__(self, status: int, kind: str, **fields):
+        self.status = status
+        self.body = _error_body(kind, **fields)
+
+
+async def _discard_unread(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Send FIN, then drop the client's input until it ends or LINGER_S.
+
+    Closing with unread input makes the kernel send a reset, which can
+    destroy the refusal before the client has read it.
+    """
+    writer.write_eof()
+    with contextlib.suppress(TimeoutError):
+        async with asyncio.timeout(LINGER_S):
+            while await reader.read(MAX_LINE_BYTES):
+                pass
 
 
 class ZCoverService:
@@ -136,7 +171,7 @@ class ZCoverService:
         if self.checkpoint_path is not None:
             self._writer = CheckpointWriter(self.checkpoint_path)
         self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self.port
+            self._handle_client, host=self.host, port=self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._runner_task = asyncio.get_running_loop().create_task(self._runner())
@@ -404,8 +439,21 @@ class ZCoverService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One request/response exchange (HTTP/1.1, connection: close)."""
+        rejected = False
         try:
-            status, body, ctype = await self._handle_request(reader)
+            try:
+                async with asyncio.timeout(REQUEST_DEADLINE_S):
+                    method, path, request_body = await self._read_request(reader)
+            except TimeoutError:
+                raise _RequestRejected(
+                    408, "request-timeout", limit_s=REQUEST_DEADLINE_S
+                ) from None
+            except ValueError:  # a line over the stream limit, MAX_LINE_BYTES
+                raise _RequestRejected(400, "line-too-long", limit=MAX_LINE_BYTES) from None
+            status, body, ctype = self._route(method, path, request_body)
+        except _RequestRejected as refusal:
+            rejected = True
+            status, body, ctype = refusal.status, refusal.body, _JSON
         except Exception:
             status, body, ctype = 500, _error_body("internal"), _JSON
         payload = body.encode("utf-8")
@@ -419,40 +467,48 @@ class ZCoverService:
         try:
             writer.write(head.encode("latin-1") + payload)
             await writer.drain()
+            if rejected:
+                await _discard_unread(reader, writer)
             writer.close()
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass  # client went away mid-response; nothing to clean up
 
-    async def _handle_request(
+    async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[int, str, str]:
-        """Parse one request off the stream and route it."""
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1", "replace").split()
+    ) -> Tuple[str, str, bytes]:
+        """Parse one request off the stream: method, path and body."""
+        parts = (await reader.readline()).decode("latin-1", "replace").split()
         if len(parts) != 3:
-            return 400, _error_body("request-line"), _JSON
+            raise _RequestRejected(400, "request-line")
         method, target = parts[0].upper(), parts[1]
         length = 0
+        headers = 0
         while True:
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
+            headers += 1
+            if headers > MAX_HEADERS:
+                raise _RequestRejected(400, "too-many-headers", limit=MAX_HEADERS)
             name, _, value = header.decode("latin-1", "replace").partition(":")
             if name.strip().lower() == "content-length":
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    return 400, _error_body("content-length"), _JSON
+                    length = -1
                 if length < 0:
-                    return 400, _error_body("content-length"), _JSON
+                    raise _RequestRejected(400, "content-length")
+                if length > MAX_BODY_BYTES:
+                    raise _RequestRejected(
+                        413, "body-too-large", declared=length, limit=MAX_BODY_BYTES
+                    )
         try:
             body = await reader.readexactly(length) if length > 0 else b""
         except asyncio.IncompleteReadError:
             # The client closed its side before sending the declared body.
-            return 400, _error_body("content-length"), _JSON
-        path = target.partition("?")[0]
-        return self._route(method, path, body)
+            raise _RequestRejected(400, "content-length") from None
+        return method, target.partition("?")[0], body
 
     def _route(self, method: str, path: str, body: bytes) -> Tuple[int, str, str]:
         """Dispatch one parsed request to its handler."""

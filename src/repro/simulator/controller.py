@@ -196,10 +196,6 @@ class VirtualController:
     def s2_messaging(self) -> S2Messaging:
         return self._s2m
 
-    @property
-    def s0_messaging(self) -> S0Messaging:
-        return self._s0m
-
     def send_command(
         self, dst: int, payload: ApplicationPayload, secure: bool = False
     ) -> None:
@@ -212,10 +208,6 @@ class VirtualController:
     @property
     def hung(self) -> bool:
         return self._clock.now < self._hang_until
-
-    @property
-    def hang_remaining(self) -> float:
-        return max(0.0, self._hang_until - self._clock.now)
 
     @property
     def powered(self) -> bool:

@@ -46,7 +46,6 @@ class HostProgram:
         self.name = name or kind.value
         self._state = HostState.RUNNING
         self._crash_count = 0
-        self._dos_count = 0
         self._events: List[HostEvent] = []
 
     # -- state --------------------------------------------------------------
@@ -64,10 +63,6 @@ class HostProgram:
     def crash_count(self) -> int:
         return self._crash_count
 
-    @property
-    def dos_count(self) -> int:
-        return self._dos_count
-
     def events(self) -> List[HostEvent]:
         return list(self._events)
 
@@ -83,7 +78,6 @@ class HostProgram:
         """The program wedges: alive but useless (bugs #05 / #13 style)."""
         if self._state is HostState.RUNNING:
             self._state = HostState.DENIED
-        self._dos_count += 1
         self._events.append(HostEvent(timestamp, "dos", detail))
 
     def notify(self, timestamp: float, detail: str) -> None:

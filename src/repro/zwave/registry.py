@@ -82,10 +82,6 @@ class SpecRegistry:
 
     # -- clustering (Section III-C1) ----------------------------------------
 
-    def public_classes(self) -> List[CommandClass]:
-        """Classes present in the public specification release."""
-        return [c for c in self if c.in_public_spec]
-
     def cluster(self, cluster: Cluster) -> List[CommandClass]:
         """All classes belonging to *cluster*."""
         return [c for c in self if c.cluster is cluster]

@@ -9,7 +9,7 @@ ordering and rng contracts the engine migration relied on:
   tie-break key; cancellation never perturbs the order of survivors;
 * **rng draw identity under caching** (200 seeds) — the loss draw
   happens for every endpoint above sensitivity, even on perfect links,
-  and cache state (delivery-plan, rssi) never changes rng
+  and cache state (the delivery plan) never changes rng
   consumption: a medium whose caches are invalidated before every
   transmission draws the exact same random stream as a warm one;
 * **reference-model equivalence** (100 seeds) — the batched delivery of
@@ -273,3 +273,64 @@ def _medium_fingerprint():
 
 def test_medium_scenario_fingerprint_identical():
     assert _medium_fingerprint() == _medium_fingerprint()
+
+
+# -- addressed delivery -----------------------------------------------------------
+#
+# An endpoint attached with ``address`` must receive exactly the frames an
+# unaddressed endpoint at the same spot would, minus those not addressed to
+# it, with the medium's rng stream and loss count untouched — on the clean
+# path and on every branch of the bit-accurate one.
+
+HOME = bytes.fromhex("cb95a34a")
+
+
+def _addressed_run(addressed, **medium_kwargs):
+    clock = SimClock()
+    rng = random.Random(17)
+    medium = RadioMedium(clock, rng=rng, **medium_kwargs)
+    medium.fault_injector = _DuplicatingInjector()
+    received = []
+    endpoints = (("a", (3.0, 0.0), 2), ("b", (85.0, 0.0), 3), ("c", (1.0, 1.0), 0), ("tx", (0.0, 0.0), 0))
+    for name, position, node in endpoints:
+        address = (int.from_bytes(HOME, "big"), node) if addressed and node else None
+        medium.attach(
+            name,
+            position,
+            Region.EU,
+            (lambda n: lambda r: received.append((n, r.raw, r.timestamp, r.bit_errors)))(name),
+            address=address,
+        )
+    for step in range(60):
+        dst = (2, 3, 0xFF, 9)[step % 4]
+        frame = HOME + bytes([1, 0x41, step % 16, 12, dst, 0x20, 0x02, step])
+        if step % 7 == 0:
+            frame = frame[:6]  # shorter than a MAC header plus CS8
+        medium.transmit(("tx", "c")[step % 2], frame, rate_kbaud=100.0)
+        if step % 11 == 0:
+            medium.transmit("tx", frame, rate_kbaud=100.0)  # back to back
+        clock.advance(0.01)
+    clock.advance(1.0)
+    return received, rng.getstate(), medium.stats
+
+
+@pytest.mark.parametrize(
+    "medium_kwargs",
+    [{}, {"bit_accurate": True}, {"noise_bit_rate": 0.002}, {"collisions": True}],
+    ids=["clean", "bit-accurate", "noisy", "collisions"],
+)
+def test_addressed_delivery_is_the_filtered_broadcast(medium_kwargs):
+    accepts = {"a": 2, "b": 3}
+    everything, state_open, stats_open = _addressed_run(False, **medium_kwargs)
+    addressed, state_addressed, stats_addressed = _addressed_run(True, **medium_kwargs)
+
+    def addressed_to(name, raw):
+        node = accepts.get(name)
+        return node is None or (len(raw) >= 10 and raw[:4] == HOME and raw[8] in (node, 0xFF))
+
+    expected = [r for r in everything if addressed_to(r[0], r[1])]
+    assert addressed == expected
+    assert len(expected) < len(everything)
+    assert state_addressed == state_open
+    assert stats_addressed["losses"] == stats_open["losses"]
+    assert stats_addressed["deliveries"] == len(expected)

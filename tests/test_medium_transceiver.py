@@ -192,6 +192,82 @@ class TestMedium:
         assert any(r.bit_errors > 0 for r in received) or len(received) < 20
 
 
+class TestAddressedEndpoint:
+    """An endpoint attached with ``address`` hears only frames sent to it."""
+
+    NODE = 5
+
+    def setup_method(self):
+        self.clock = SimClock()
+        self.medium = RadioMedium(self.clock, random.Random(3))
+        self.received = []
+        self.medium.attach(
+            "slave", (5.0, 0.0), Region.US, self.received.append, address=(HOME, self.NODE)
+        )
+        self.medium.attach("tx", (0.0, 0.0), Region.US, lambda r: None)
+
+    def send(self, raw):
+        self.medium.transmit("tx", raw, 100.0)
+        self.clock.advance(1.0)
+        return [r.raw for r in self.received]
+
+    def test_hears_frames_to_its_node(self):
+        raw = ZWaveFrame(home_id=HOME, src=1, dst=self.NODE, payload=b"\x20\x02").encode()
+        assert self.send(raw) == [raw]
+        assert self.medium.stats["deliveries"] == 1
+
+    def test_hears_broadcasts(self):
+        raw = ZWaveFrame(home_id=HOME, src=1, dst=0xFF, payload=b"\x20\x02").encode()
+        assert self.send(raw) == [raw]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            ZWaveFrame(home_id=HOME, src=1, dst=6, payload=b"\x20\x02").encode(),
+            ZWaveFrame(home_id=HOME ^ 1, src=1, dst=5, payload=b"\x20\x02").encode(),
+            ZWaveFrame(home_id=HOME ^ 1, src=1, dst=0xFF, payload=b"\x20\x02").encode(),
+            ZWaveFrame(home_id=HOME, src=1, dst=5, payload=b"").encode()[:9],
+            b"\x01\x02\x03",
+        ],
+        ids=["other-node", "other-home", "other-home-broadcast", "header-only", "garbage"],
+    )
+    def test_never_hears_frames_not_addressed_to_it(self, raw):
+        assert self.send(raw) == []
+        assert self.medium.stats["deliveries"] == 0
+        assert self.medium.stats["losses"] == 0
+
+    def test_disabled_addressed_endpoint_gets_nothing(self):
+        self.medium.set_enabled("slave", False)
+        raw = ZWaveFrame(home_id=HOME, src=1, dst=self.NODE, payload=b"\x20\x02").encode()
+        assert self.send(raw) == []
+
+    def test_address_leaves_rng_and_losses_unchanged_on_a_lossy_link(self):
+        """The filter runs after the endpoint's loss draw."""
+        # 75 m sits between the perfect-link and sensitivity thresholds.
+        assert 0.0 < loss_probability(received_power_dbm(75.0)) < 1.0
+        frames = [
+            ZWaveFrame(home_id=HOME, src=1, dst=dst, payload=b"\x20\x02").encode()
+            for dst in (5, 6, 0xFF, 7)
+        ] + [b"\x01\x02"]
+
+        def run(address):
+            rng = random.Random(11)
+            clock = SimClock()
+            medium = RadioMedium(clock, rng)
+            medium.attach("slave", (75.0, 0.0), Region.US, lambda r: None, address=address)
+            medium.attach("tx", (0.0, 0.0), Region.US, lambda r: None)
+            for i in range(200):
+                medium.transmit("tx", frames[i % len(frames)], 100.0)
+                clock.advance(0.05)
+            return rng.getstate(), medium.stats
+
+        state_open, stats_open = run(None)
+        state_addressed, stats_addressed = run((HOME, 5))
+        assert state_addressed == state_open
+        assert stats_addressed["losses"] == stats_open["losses"] > 0
+        assert stats_addressed["deliveries"] < stats_open["deliveries"]
+
+
 class TestTransceiver:
     def setup_method(self):
         self.clock = SimClock()

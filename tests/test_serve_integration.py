@@ -146,21 +146,19 @@ class TestProtocolSurface:
         assert payload["error"]["expected"] == WIRE_VERSION
 
     @staticmethod
-    def _raw_post(port, content_length, body):
-        """POST /jobs over a bare socket, half-closing after *body*.
+    def _raw_exchange(port, data, half_close=True):
+        """Send *data* over a bare socket; return (status, JSON body).
 
-        The half-close lets the server see end-of-stream, so a declared
-        length longer than *body* is observable instead of a hang.
+        With *half_close* the client shuts its sending side after *data*,
+        so a declared length longer than the body is observable as
+        end-of-stream instead of a hang.
         """
         import socket
 
-        head = (
-            "POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-            f"Content-Length: {content_length}\r\n\r\n"
-        ).encode("latin-1")
         with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-            sock.sendall(head + body)
-            sock.shutdown(socket.SHUT_WR)
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
             response = b""
             while True:
                 chunk = sock.recv(65536)
@@ -171,6 +169,15 @@ class TestProtocolSurface:
         payload = json.loads(rest.partition(b"\r\n\r\n")[2].decode("utf-8"))
         return int(status_line.split()[1]), payload
 
+    @classmethod
+    def _raw_post(cls, port, content_length, body):
+        """POST /jobs with a declared *content_length* and the given *body*."""
+        head = (
+            "POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode("latin-1")
+        return cls._raw_exchange(port, head + body)
+
     def test_negative_content_length_rejected(self, service):
         status, payload = self._raw_post(service.port, -1, b"{}")
         assert status == 400
@@ -180,6 +187,49 @@ class TestProtocolSurface:
         status, payload = self._raw_post(service.port, 1000, b'{"kind": "trials"}')
         assert status == 400
         assert payload["error"]["kind"] == "content-length"
+
+    def test_over_long_request_line_is_400(self, service):
+        line = b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n"
+        status, payload = self._raw_exchange(service.port, line)
+        assert (status, payload["error"]["kind"]) == (400, "line-too-long")
+
+    def test_over_long_header_line_is_400(self, service):
+        data = b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * (70 * 1024) + b"\r\n\r\n"
+        status, payload = self._raw_exchange(service.port, data)
+        assert (status, payload["error"]["kind"]) == (400, "line-too-long")
+
+    def test_too_many_headers_is_400(self, service):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(20_000))
+        data = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        status, payload = self._raw_exchange(service.port, data)
+        assert (status, payload["error"]["kind"]) == (400, "too-many-headers")
+
+    def test_headers_at_the_limit_are_accepted(self, service):
+        from repro.serve.service import MAX_HEADERS
+
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS))
+        data = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        status, body = self._raw_exchange(service.port, data)
+        assert status == 200 and body["ok"] is True
+
+    def test_huge_declared_body_is_413_without_reading_it(self, service):
+        """The connection stays open and no body is sent: the reply must
+        come from the declared length alone, not after reading 10 GB."""
+        data = (
+            b"POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Length: 10000000000\r\n\r\n"
+        )
+        status, payload = self._raw_exchange(service.port, data, half_close=False)
+        assert (status, payload["error"]["kind"]) == (413, "body-too-large")
+        assert payload["error"]["declared"] == 10_000_000_000
+
+    def test_incomplete_request_times_out_with_408(self, service, monkeypatch):
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "REQUEST_DEADLINE_S", 0.3)
+        data = b"POST /jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{"
+        status, payload = self._raw_exchange(service.port, data, half_close=False)
+        assert (status, payload["error"]["kind"]) == (408, "request-timeout")
 
     def test_unknown_job_and_path_are_404(self, client):
         with pytest.raises(ServeClientError) as excinfo:

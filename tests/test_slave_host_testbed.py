@@ -218,3 +218,35 @@ class TestTestbed:
             c for c in sut.dongle.captures() if c.frame and c.frame.src in (2, 3)
         ]
         assert slave_frames == []
+
+
+class TestAddressedDelivery:
+    def test_fuzz_run_hands_slaves_only_their_frames(self, monkeypatch):
+        """The medium filters on the slave's address before delivery, so a
+        slave's receive path never sees the fuzzer's dongle/controller
+        ping-pong addressed to someone else."""
+        import random
+
+        from repro.core.fuzzer import FuzzerConfig, FuzzingEngine
+        from repro.core.mutation import PositionSensitiveMutator
+        from repro.simulator.slave import VirtualSlave
+        from repro.zwave.registry import load_full_registry
+
+        seen = []
+        original = VirtualSlave._on_receive
+
+        def recording(self, reception):
+            seen.append((self.home_id, self.node_id, reception.raw))
+            original(self, reception)
+
+        monkeypatch.setattr(VirtualSlave, "_on_receive", recording)
+        sut = build_sut("D1", seed=3)
+        engine = FuzzingEngine(sut, FuzzerConfig())
+        mutator = PositionSensitiveMutator(load_full_registry(), random.Random(3))
+        result = engine.run([(0x20, mutator.generate(0x20), 120.0)], duration=120.0)
+
+        assert result.packets_sent > 0 and seen
+        for home_id, node_id, raw in seen:
+            assert len(raw) >= 10
+            assert int.from_bytes(raw[0:4], "big") == home_id
+            assert raw[8] in (node_id, 0xFF)
